@@ -1,7 +1,8 @@
-// ShardedCluster: key-partitioned parallel deployments. Checks the three
+// ShardedCluster: key-partitioned parallel deployments. Checks the four
 // properties drivers lean on — run-to-run determinism of the merged
-// metrics, key-space partitioning (shards really are disjoint), and the
-// seed domain (shard seeds differ from each other and from the base).
+// metrics, equality with the shards drained one by one on one thread,
+// key-space partitioning (shards really are disjoint), and the seed domain
+// (shard seeds differ from each other and from the base).
 #include "harness/sharded_cluster.h"
 
 #include <gtest/gtest.h>
@@ -33,7 +34,16 @@ struct MergedSnapshot {
   }
 };
 
-MergedSnapshot RunShardedPlanet(int num_shards) {
+// How the shards are advanced: by ShardedCluster::Drain (one worker thread
+// per shard), or one after another on the calling thread with
+// Cluster::Drain — the independent computation the threaded run and the
+// --sim-shards goldens must equal.
+enum class DrainMode { kThreaded, kShardByShard };
+
+MergedSnapshot RunShardedPlanet(int num_shards,
+                                DrainMode mode = DrainMode::kThreaded,
+                                std::vector<uint64_t>* shard_committed =
+                                    nullptr) {
   ClusterOptions base;
   base.seed = 4242;
   base.clients_per_dc = 1;
@@ -65,9 +75,23 @@ MergedSnapshot RunShardedPlanet(int num_shards) {
       generators.push_back(std::move(gen));
     }
   }
-  sharded.Drain();
+  uint64_t events = 0;
+  if (mode == DrainMode::kThreaded) {
+    sharded.Drain();
+    EXPECT_EQ(sharded.windows(), 1u) << "independent shards should free-run";
+    events = sharded.TotalEventsProcessed();
+  } else {
+    for (int s = 0; s < sharded.num_shards(); ++s) {
+      sharded.shard(s)->Drain();
+      events += sharded.shard(s)->sim().events_processed();
+    }
+  }
   EXPECT_TRUE(sharded.AllConverged());
-  EXPECT_EQ(sharded.windows(), 1u) << "independent shards should free-run";
+  if (shard_committed != nullptr) {
+    for (int s = 0; s < sharded.num_shards(); ++s) {
+      shard_committed->push_back(sharded.context(s).metrics.committed);
+    }
+  }
 
   RunMetrics merged = sharded.MergedMetrics();
   MergedSnapshot snap;
@@ -75,7 +99,7 @@ MergedSnapshot RunShardedPlanet(int num_shards) {
   snap.aborted = merged.aborted;
   snap.unavailable = merged.unavailable;
   snap.finished = merged.finished();
-  snap.events = sharded.TotalEventsProcessed();
+  snap.events = events;
   snap.p50 = merged.latency_all.Percentile(50);
   snap.p99 = merged.latency_all.Percentile(99);
   return snap;
@@ -86,6 +110,23 @@ TEST(ShardedCluster, TwoShardsRunTwiceBitIdentical) {
   EXPECT_GT(first.committed, 0u);
   EXPECT_GT(first.events, 0u);
   EXPECT_EQ(RunShardedPlanet(2), first);
+}
+
+TEST(ShardedCluster, ThreadedDrainEqualsShardByShardSerialDrain) {
+  // The threaded drain must merge to exactly what the same shards give when
+  // drained one after another on this thread: K serial runs, merged in
+  // shard order. This is what backs the --sim-shards 2 goldens.
+  std::vector<uint64_t> shard_committed;
+  MergedSnapshot threaded = RunShardedPlanet(2, DrainMode::kThreaded);
+  MergedSnapshot serial =
+      RunShardedPlanet(2, DrainMode::kShardByShard, &shard_committed);
+  EXPECT_EQ(threaded, serial);
+  ASSERT_EQ(shard_committed.size(), 2u);
+  for (uint64_t committed : shard_committed) {
+    EXPECT_GT(committed, 0u);
+    EXPECT_GT(serial.committed, committed)
+        << "the merge must sum the shards, not report one of them";
+  }
 }
 
 TEST(ShardedCluster, ShardCountIsPartOfTheSeedDomain) {

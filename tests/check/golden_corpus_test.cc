@@ -5,6 +5,7 @@
 // pin what must NOT be flagged — a checker that starts accusing clean
 // serializable or healthy causal runs fails here first.
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -49,6 +50,10 @@ struct CorpusCase {
   size_t total_violations;  ///< all violations, permitted included
   size_t predictions;       ///< PredictReorderings candidate count
 };
+
+// Without a printer gtest dumps the raw bytes (a string pointer and
+// padding), and ctest's discovered test names would change every build.
+void PrintTo(const CorpusCase& c, std::ostream* os) { *os << c.file; }
 
 class GoldenCorpus : public ::testing::TestWithParam<CorpusCase> {};
 

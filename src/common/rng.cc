@@ -99,7 +99,9 @@ Rng Rng::Fork(uint64_t tag) const {
 
 double ZipfGenerator::Zeta(uint64_t n, double theta) {
   // Exact for small n; Euler-Maclaurin style approximation for large n keeps
-  // construction O(1) for billion-key spaces.
+  // construction O(1) for billion-key spaces. At theta 0 every term is
+  // exactly 1, so the sum is n (exact up to 2^53), without n calls to pow.
+  if (theta == 0.0) return double(n);
   if (n <= 1000000) {
     double sum = 0.0;
     for (uint64_t i = 1; i <= n; ++i) sum += 1.0 / std::pow(double(i), theta);

@@ -54,17 +54,6 @@ double ImpliedSpeculationThreshold(const SpeculationCosts& costs) {
   return hi;
 }
 
-double ImpliedKillThreshold(const EarlyAbortCosts& costs) {
-  // Expected utility of killing at DoomScore D is
-  //   D * value_reclaim - (1 - D) * cost_false_kill,
-  // which crosses zero at D = c / (v + c). Degenerate models (both terms
-  // nonpositive) disable the path.
-  double v = costs.value_reclaim;
-  double c = costs.cost_false_kill;
-  if (v + c <= 0.0) return 0.0;
-  return std::clamp(c / (v + c), 0.0, 1.0);
-}
-
 std::function<void(PlanetTransaction&)> MakeAdvisorCallback(
     const SpeculationCosts& costs) {
   return [costs](PlanetTransaction& txn) {

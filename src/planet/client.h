@@ -62,6 +62,8 @@ class PlanetContext {
 
   const MdccConfig& mdcc_config() const { return mdcc_; }
   const PlanetConfig& planet_config() const { return planet_; }
+  /// Edits reach the clients, which read the config per call, but not the
+  /// estimator: it copied the config at construction (see predictor.h).
   PlanetConfig& mutable_planet_config() { return planet_; }
 
   LatencyModel& latency_model() { return latency_; }

@@ -1,8 +1,10 @@
 #include "planet/predictor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -211,8 +213,12 @@ CommitLikelihoodEstimator::CommitLikelihoodEstimator(
       planet_(planet),
       latency_(latency),
       conflict_(conflict),
-      reach_(reach) {
+      reach_(reach),
+      table_((size_t{1} << kTableDepth) + 1,
+             std::numeric_limits<double>::quiet_NaN()) {
   PLANET_CHECK(latency != nullptr && conflict != nullptr);
+  memo_.assign(kMemoSlots, MemoEntry{std::bit_cast<uint64_t>(0.0),
+                                     Bisect(0.0)});
 }
 
 double CommitLikelihoodEstimator::ClassicRescue(double conflict_prob) const {
@@ -245,9 +251,40 @@ double CommitLikelihoodEstimator::FreshOptionLikelihood(Key key) const {
 double CommitLikelihoodEstimator::EffectiveAcceptProb(Key key) const {
   // Invert FreshSuccessGivenAcceptProb (monotone increasing in q) so that
   // the zero-vote in-flight estimate equals FreshOptionLikelihood.
-  double target = FreshOptionLikelihood(key);
-  double lo = 0.0, hi = 1.0;
-  for (int iter = 0; iter < 30; ++iter) {
+  return AcceptProbForTarget(FreshOptionLikelihood(key));
+}
+
+size_t CommitLikelihoodEstimator::AcceptMemoSlot(double target) {
+  // Fibonacci hashing: the top bits of the product mix every target bit.
+  static_assert(std::has_single_bit(unsigned{kMemoSlots}));
+  constexpr int kShift = 64 - std::countr_zero(unsigned{kMemoSlots});
+  return static_cast<size_t>(
+      (std::bit_cast<uint64_t>(target) * 0x9E3779B97F4A7C15ULL) >> kShift);
+}
+
+double CommitLikelihoodEstimator::AcceptProbForTarget(double target) const {
+  const uint64_t bits = std::bit_cast<uint64_t>(target);
+  MemoEntry& entry = memo_[AcceptMemoSlot(target)];
+  if (entry.target_bits != bits) entry = MemoEntry{bits, Bisect(target)};
+  return entry.q;
+}
+
+double CommitLikelihoodEstimator::Bisect(double target) const {
+  // Up to depth kTableDepth every bracket end and midpoint is exactly
+  // k / 2^kTableDepth, so walk those steps on integer indices against the
+  // table; the comparisons, and hence the bracket, match the live bisection.
+  uint32_t lo_k = 0, hi_k = uint32_t{1} << kTableDepth;
+  for (int iter = 0; iter < kTableDepth; ++iter) {
+    uint32_t mid_k = (lo_k + hi_k) / 2;
+    if (TableAt(mid_k) < target) {
+      lo_k = mid_k;
+    } else {
+      hi_k = mid_k;
+    }
+  }
+  double lo = std::ldexp(double(lo_k), -kTableDepth);
+  double hi = std::ldexp(double(hi_k), -kTableDepth);
+  for (int iter = kTableDepth; iter < kBisectSteps; ++iter) {
     double mid = 0.5 * (lo + hi);
     if (FreshSuccessGivenAcceptProb(mid) < target) {
       lo = mid;
@@ -258,28 +295,23 @@ double CommitLikelihoodEstimator::EffectiveAcceptProb(Key key) const {
   return 0.5 * (lo + hi);
 }
 
-double CommitLikelihoodEstimator::CachedAcceptProb(Key key,
-                                                   AcceptProbCache* cache) const {
-  if (cache != nullptr) {
-    for (const auto& [k, q] : cache->entries) {
-      if (k == key) return q;
-    }
+double CommitLikelihoodEstimator::TableAt(uint32_t k) const {
+  double& f = table_[k];
+  if (std::isnan(f)) {
+    f = FreshSuccessGivenAcceptProb(std::ldexp(double(k), -kTableDepth));
   }
-  double q = EffectiveAcceptProb(key);
-  if (cache != nullptr) cache->entries.emplace_back(key, q);
-  return q;
+  return f;
 }
 
 double CommitLikelihoodEstimator::OptionLikelihood(const OptionProgress& op,
                                                    bool with_latency,
                                                    SimTime now,
                                                    Duration budget,
-                                                   DcId client_dc,
-                                                   AcceptProbCache* cache) const {
+                                                   DcId client_dc) const {
   if (op.decided) return op.chosen ? 1.0 : 0.0;
   // Per-acceptor accept probability implied by the calibrated option-level
   // outcome rate (consistent with FreshOptionLikelihood at zero votes).
-  double q_eff = CachedAcceptProb(op.option.key, cache);
+  double q_eff = EffectiveAcceptProb(op.option.key);
   double c = 1.0 - q_eff;
 
   // Failure detection: acceptors silent past dead_after cannot vote. Their
@@ -367,10 +399,8 @@ double CommitLikelihoodEstimator::Estimate(const TxnView& view,
   if (view.phase == TxnPhase::kCommitted) return 1.0;
   if (view.phase == TxnPhase::kAborted) return 0.0;
   double likelihood = 1.0;
-  AcceptProbCache cache;
   for (const OptionProgress& op : view.options) {
-    likelihood *= OptionLikelihood(op, /*with_latency=*/false, now, 0, 0,
-                                   &cache);
+    likelihood *= OptionLikelihood(op, /*with_latency=*/false, now, 0, 0);
   }
   return likelihood;
 }
@@ -381,10 +411,9 @@ double CommitLikelihoodEstimator::EstimateBy(const TxnView& view, SimTime now,
   if (view.phase == TxnPhase::kCommitted) return 1.0;
   if (view.phase == TxnPhase::kAborted) return 0.0;
   double likelihood = 1.0;
-  AcceptProbCache cache;
   for (const OptionProgress& op : view.options) {
     likelihood *= OptionLikelihood(op, /*with_latency=*/true, now, budget,
-                                   client_dc, &cache);
+                                   client_dc);
   }
   return likelihood;
 }
@@ -404,14 +433,12 @@ double CommitLikelihoodEstimator::EstimateFresh(
     // Dead-DC-aware prior: evaluate each write as a zero-vote in-flight
     // option so the reachability terms apply.
     double likelihood = 1.0;
-    AcceptProbCache cache;
+    OptionProgress op;
+    op.votes.assign(static_cast<size_t>(mdcc_.num_dcs), -1);
+    op.proposed_at = now;
     for (const WriteOption& w : writes) {
-      OptionProgress op;
       op.option = w;
-      op.votes.assign(static_cast<size_t>(mdcc_.num_dcs), -1);
-      op.proposed_at = now;
-      likelihood *= OptionLikelihood(op, /*with_latency=*/false, now, 0, 0,
-                                     &cache);
+      likelihood *= OptionLikelihood(op, /*with_latency=*/false, now, 0, 0);
     }
     return likelihood;
   }
@@ -437,17 +464,16 @@ double CommitLikelihoodEstimator::EstimateFreshBy(
   }
   if (!warm) return EstimateFresh(writes, now);
 
+  // Zero-vote in-flight option proposed "now": the latency-constrained
+  // estimate then uses the learned RTT tails for every outstanding DC.
   double likelihood = 1.0;
-  AcceptProbCache cache;
+  OptionProgress op;
+  op.votes.assign(static_cast<size_t>(mdcc_.num_dcs), -1);
+  op.proposed_at = now;
   for (const WriteOption& w : writes) {
-    // Zero-vote in-flight option proposed "now": the latency-constrained
-    // estimate then uses the learned RTT tails for every outstanding DC.
-    OptionProgress op;
     op.option = w;
-    op.votes.assign(static_cast<size_t>(mdcc_.num_dcs), -1);
-    op.proposed_at = now;
     likelihood *= OptionLikelihood(op, /*with_latency=*/true, now, sla,
-                                   client_dc, &cache);
+                                   client_dc);
   }
   return likelihood;
 }

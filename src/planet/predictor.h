@@ -16,8 +16,9 @@
 #ifndef PLANET_PLANET_PREDICTOR_H_
 #define PLANET_PLANET_PREDICTOR_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/histogram.h"
@@ -280,34 +281,67 @@ class CommitLikelihoodEstimator {
   /// zero-vote estimate coincides with FreshOptionLikelihood.
   double EffectiveAcceptProb(Key key) const;
 
- private:
-  /// Memo of EffectiveAcceptProb per key, valid for one estimator evaluation
-  /// (the underlying models do not change mid-evaluation). Avoids re-running
-  /// the 30-iteration bisection for every option on the same key. A flat
-  /// vector: transactions touch a handful of keys.
-  struct AcceptProbCache {
-    std::vector<std::pair<Key, double>> entries;
-  };
+  /// The inverse behind EffectiveAcceptProb: the midpoint of the bracket a
+  /// 30-step bisection of FreshSuccessGivenAcceptProb over [0, 1] leaves
+  /// for `target`. Memoized and table-assisted (see below), bit-identical
+  /// to the plain bisection. Exposed for tests.
+  double AcceptProbForTarget(double target) const;
 
-  /// EffectiveAcceptProb with per-evaluation memoization.
-  double CachedAcceptProb(Key key, AcceptProbCache* cache) const;
+  /// P(fresh option chosen) if each acceptor independently accepts with
+  /// probability q (fast quorum + damped classic rescue). Exposed for tests.
+  double FreshSuccessGivenAcceptProb(double q) const;
+
+  /// Bisection steps of AcceptProbForTarget that read the dyadic table.
+  static constexpr int kTableDepth = 12;
+
+  /// Memo slot that `target` maps to. Exposed for tests (slot collisions).
+  static size_t AcceptMemoSlot(double target);
+
+ private:
+  static constexpr int kBisectSteps = 30;
+  static constexpr int kMemoSlots = 1024;
 
   /// Likelihood of one in-flight option, optionally latency-constrained.
   double OptionLikelihood(const OptionProgress& op, bool with_latency,
-                          SimTime now, Duration budget, DcId client_dc,
-                          AcceptProbCache* cache) const;
+                          SimTime now, Duration budget, DcId client_dc) const;
 
   double ClassicRescue(double conflict_prob) const;
 
-  /// P(fresh option chosen) if each acceptor independently accepts with
-  /// probability q (fast quorum + damped classic rescue).
-  double FreshSuccessGivenAcceptProb(double q) const;
+  /// The bisection itself: kTableDepth steps on the table, the rest live.
+  double Bisect(double target) const;
+
+  /// F(k / 2^kTableDepth), evaluated on first use.
+  double TableAt(uint32_t k) const;
 
   MdccConfig mdcc_;
   PlanetConfig planet_;
   const LatencyModel* latency_;
   const ConflictModel* conflict_;
   const ReachabilityTracker* reach_;
+
+  // F = FreshSuccessGivenAcceptProb depends only on mdcc_ and
+  // planet_.classic_damp, both copied at construction and never changed, so
+  // F is fixed for the estimator's lifetime. (A PlanetConfig edited through
+  // PlanetContext::mutable_planet_config() after construction does not
+  // reach the estimator.) That makes AcceptProbForTarget a pure function of
+  // the target's bits, and lets two caches return exactly what the
+  // bisection would:
+  //   * memo_ — direct-mapped on the target's bit pattern, holding the
+  //     returned q; a collision overwrites the slot.
+  //   * table_ — F at k / 2^kTableDepth for k = 0..2^kTableDepth (NaN until
+  //     first used). The first kTableDepth bisection midpoints are exactly
+  //     such dyadic points, so those steps compare against the table and
+  //     only the remaining ones evaluate F.
+  // Empty memo slots hold the pair for target 0.0, so every slot is a true
+  // (target, q) pair and a lookup needs no valid flag. Both caches are per
+  // estimator (one per PlanetContext, never shared across threads); const
+  // methods fill them.
+  struct MemoEntry {
+    uint64_t target_bits;
+    double q;
+  };
+  mutable std::vector<MemoEntry> memo_;
+  mutable std::vector<double> table_;
 };
 
 /// Reliability-diagram tracker: buckets predictions and records outcomes so

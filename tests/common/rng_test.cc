@@ -154,6 +154,13 @@ TEST(Zipf, UniformWhenThetaZero) {
   for (int c : counts) EXPECT_NEAR(c, 10000, 1000);
 }
 
+TEST(Zipf, ThetaZeroDrawsTheModuloStream) {
+  constexpr uint64_t kKeys = 1'000'000;
+  ZipfGenerator zipf(kKeys, 0.0);
+  Rng a(15), b(15);
+  for (int i = 0; i < 10000; ++i) ASSERT_EQ(zipf.Next(a), b.Next() % kKeys);
+}
+
 TEST(Zipf, SkewGrowsWithTheta) {
   Rng rng(12);
   auto top_share = [&](double theta) {

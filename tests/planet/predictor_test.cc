@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace planet {
 namespace {
@@ -284,6 +288,95 @@ TEST_F(EstimatorTest, InflightStillMonotoneWithOptionModel) {
   double r1 = estimator_.Estimate(MakeView({MakeOption(5, 0, 1)}));
   EXPECT_LT(l0, l2);
   EXPECT_GT(l0, r1);
+}
+
+// The plain 30-step bisection that AcceptProbForTarget's memo and dyadic
+// table must reproduce bit for bit.
+double ReferenceAcceptProb(const CommitLikelihoodEstimator& est,
+                           double target) {
+  double lo = 0.0, hi = 1.0;
+  for (int iter = 0; iter < 30; ++iter) {
+    double mid = 0.5 * (lo + hi);
+    if (est.FreshSuccessGivenAcceptProb(mid) < target) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(AcceptProbInverse, BitIdenticalToPlainBisection) {
+  constexpr int kDepth = CommitLikelihoodEstimator::kTableDepth;
+  Rng rng(2024);
+  for (int num_dcs : {3, 5, 7}) {
+    for (bool enable_classic : {true, false}) {
+      for (double classic_damp : {0.5, 0.85}) {
+        MdccConfig mdcc;
+        mdcc.num_dcs = num_dcs;
+        mdcc.enable_classic = enable_classic;
+        PlanetConfig planet;
+        planet.classic_damp = classic_damp;
+        LatencyModel latency(num_dcs, Millis(100));
+        ConflictModel conflict(0.1);
+        CommitLikelihoodEstimator est(mdcc, planet, &latency, &conflict);
+
+        // Every table value and its neighbours (the comparisons closest to
+        // a tie), the ends, and random targets.
+        std::vector<double> targets = {0.0, 1.0};
+        for (int k = 0; k <= (1 << kDepth); ++k) {
+          double f = est.FreshSuccessGivenAcceptProb(std::ldexp(k, -kDepth));
+          targets.push_back(f);
+          targets.push_back(std::nextafter(f, -1.0));
+          targets.push_back(std::nextafter(f, 2.0));
+        }
+        for (int i = 0; i < 2000; ++i) targets.push_back(rng.NextDouble());
+
+        int mismatches = 0;
+        for (double target : targets) {
+          if (!SameBits(est.AcceptProbForTarget(target),
+                        ReferenceAcceptProb(est, target))) {
+            ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0)
+            << "num_dcs=" << num_dcs << " classic=" << enable_classic
+            << " damp=" << classic_damp << " over " << targets.size()
+            << " targets";
+      }
+    }
+  }
+}
+
+TEST(AcceptProbInverse, MemoHitCollisionAndColdEstimatorAgree) {
+  MdccConfig mdcc;
+  PlanetConfig planet;
+  LatencyModel latency(mdcc.num_dcs, Millis(100));
+  ConflictModel conflict(0.1);
+  CommitLikelihoodEstimator warm(mdcc, planet, &latency, &conflict);
+
+  Rng rng(99);
+  const double a = rng.NextDouble();
+  double b = rng.NextDouble();
+  while (b == a || CommitLikelihoodEstimator::AcceptMemoSlot(b) !=
+                       CommitLikelihoodEstimator::AcceptMemoSlot(a)) {
+    b = rng.NextDouble();
+  }
+  const double ref_a = ReferenceAcceptProb(warm, a);
+  const double ref_b = ReferenceAcceptProb(warm, b);
+
+  EXPECT_TRUE(SameBits(warm.AcceptProbForTarget(a), ref_a));  // miss
+  EXPECT_TRUE(SameBits(warm.AcceptProbForTarget(a), ref_a));  // hit
+  EXPECT_TRUE(SameBits(warm.AcceptProbForTarget(b), ref_b));  // overwrites
+  EXPECT_TRUE(SameBits(warm.AcceptProbForTarget(a), ref_a));  // evicted
+  CommitLikelihoodEstimator cold(mdcc, planet, &latency, &conflict);
+  EXPECT_TRUE(SameBits(cold.AcceptProbForTarget(a), ref_a));
+  EXPECT_TRUE(SameBits(cold.AcceptProbForTarget(0.0),
+                       ReferenceAcceptProb(cold, 0.0)));  // pre-filled slot
 }
 
 TEST(Calibration, BucketsAndEce) {

@@ -2,7 +2,8 @@
 //
 // The simulator's acceptance contract (docs/PERFORMANCE.md) is that
 // steady-state Schedule/Cancel/Step and Network::Send never touch the heap
-// for closures of typical protocol size. This TU replaces global operator
+// for closures of typical protocol size, and that the commit-likelihood
+// estimate the kill gauge runs on every vote does not either. This TU replaces global operator
 // new/delete with counting versions; each test warms the pools (slot
 // chunks, heap vector, free list grow once, up front), then asserts the
 // measured region performed zero allocations and zero InlineFunction heap
@@ -17,6 +18,7 @@
 
 #include "common/inline_function.h"
 #include "common/rng.h"
+#include "planet/predictor.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -219,6 +221,36 @@ TEST(HotPathAlloc, CancelReleasesCapturedStateImmediately) {
   EXPECT_TRUE(sim.Cancel(id));
   // Freed at Cancel, with the simulator still holding the (tombstoned) slot.
   EXPECT_EQ(tracked.use_count(), 1);
+}
+
+TEST(HotPathAlloc, WarmEstimateIsAllocFree) {
+  MdccConfig mdcc;
+  PlanetConfig planet;
+  LatencyModel latency(mdcc.num_dcs, Millis(100));
+  ConflictModel conflict(planet.conflict_alpha);
+  for (int i = 0; i < 200; ++i) {
+    conflict.RecordVote(Key(i % 4), i % 3 != 0);
+    conflict.RecordOptionOutcome(Key(i % 4), i % 5 != 0);
+  }
+  CommitLikelihoodEstimator estimator(mdcc, planet, &latency, &conflict);
+
+  // A four-write transaction mid-vote, as the kill gauge sees it.
+  TxnView view;
+  view.phase = TxnPhase::kProposing;
+  for (Key key = 0; key < 4; ++key) {
+    OptionProgress op;
+    op.option.key = key;
+    op.votes.assign(static_cast<size_t>(mdcc.num_dcs), -1);
+    op.votes[0] = 1;
+    op.accepts = 1;
+    view.options.push_back(op);
+  }
+  double sum = estimator.Estimate(view);  // warms the estimator's memo
+
+  uint64_t allocs_before = AllocCount();
+  for (int i = 0; i < 1000; ++i) sum += estimator.Estimate(view);
+  EXPECT_EQ(AllocCount() - allocs_before, 0u);
+  EXPECT_GT(sum, 0.0);
 }
 
 }  // namespace
